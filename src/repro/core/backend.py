@@ -118,6 +118,23 @@ def resolve_backend(
     return name
 
 
+def elision_enabled() -> bool:
+    """The vector core's default elision setting, from :data:`ELIDE_ENV`.
+
+    Unset or ``"1"`` means on and ``"0"`` means off. Any other value
+    raises :class:`ValueError` naming the variable, so a typo such as
+    ``false`` cannot silently leave elision on.
+    """
+    value = os.environ.get(ELIDE_ENV)
+    if value is None or value == "1":
+        return True
+    if value == "0":
+        return False
+    raise ValueError(
+        f"{ELIDE_ENV} must be unset, '1' or '0', got {value!r}"
+    )
+
+
 def backend_capabilities(name: str) -> Dict[str, object]:
     """Feature flags for a registered backend (raises on unknown).
 
@@ -142,7 +159,7 @@ def backend_capabilities(name: str) -> Dict[str, object]:
             "objects": False,
             "compiled_columns": True,
             "cycle_elision": True,
-            "elision_enabled": os.environ.get(ELIDE_ENV, "1") != "0",
+            "elision_enabled": elision_enabled(),
             "elision_env": ELIDE_ENV,
         }
     if name == "eventsim":

@@ -20,6 +20,7 @@ from repro.core.backend import (
     UnknownBackendError,
     available_backends,
     backend_capabilities,
+    elision_enabled,
     get_backend,
     register_backend,
     resolve_backend,
@@ -128,6 +129,33 @@ def test_backend_capabilities(monkeypatch):
 
     with pytest.raises(UnknownBackendError):
         backend_capabilities("warp-drive")
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [(None, True), ("1", True), ("0", False),
+     ("false", None), ("off", None), ("", None), ("2", None)],
+)
+def test_elision_env_parsing(monkeypatch, value, expected):
+    from repro.core.vector import VectorProcessor
+    from repro.workloads.catalog import kernel_trace
+
+    if value is None:
+        monkeypatch.delenv(ELIDE_ENV, raising=False)
+    else:
+        monkeypatch.setenv(ELIDE_ENV, value)
+    if expected is None:
+        # Both readers share one parser, so a bad value fails loudly
+        # in each of them instead of silently leaving elision on.
+        with pytest.raises(ValueError, match=ELIDE_ENV):
+            elision_enabled()
+        with pytest.raises(ValueError, match=ELIDE_ENV):
+            backend_capabilities("vector")
+        with pytest.raises(ValueError, match=ELIDE_ENV):
+            VectorProcessor(_config(), kernel_trace("memcopy", words=64))
+    else:
+        assert elision_enabled() is expected
+        assert backend_capabilities("vector")["elision_enabled"] is expected
 
 
 def test_elide_env_controls_vector_processor(monkeypatch):

@@ -160,6 +160,7 @@ def test_check_elision_clean_on_benchmark_cells():
     plan = make_sampling_plan(len(trace))
     for scheduling, policy, small in (
         ("NAS", SpeculationPolicy.NO, True),
+        ("NAS", SpeculationPolicy.NAIVE, False),
         ("NAS", SpeculationPolicy.STORE_SETS, False),
         ("AS", SpeculationPolicy.NAIVE, False),
     ):

@@ -857,6 +857,8 @@ def main(argv=None):
                         help="trace-bench: parallel-runner workers for "
                              "the end-to-end comparison (default 2)")
     args = parser.parse_args(argv)
+    if args.kernel_times and args.backend != "vector":
+        parser.error("--kernel-times requires --backend vector")
 
     if args.trace_bench:
         report, ok = run_trace_bench(args)
