@@ -87,6 +87,14 @@ class CacheConfig:
         return total_blocks // (self.assoc * self.banks)
 
     def __post_init__(self) -> None:
+        if self.size_bytes <= 0:
+            raise ValueError(f"{self.name}: size must be positive")
+        if self.assoc < 1:
+            raise ValueError(f"{self.name}: associativity must be >= 1")
+        if self.block_bytes <= 0 or self.block_bytes & (self.block_bytes - 1):
+            raise ValueError(f"{self.name}: block size not a power of 2")
+        if self.banks <= 0 or self.banks & (self.banks - 1):
+            raise ValueError(f"{self.name}: bank count not a power of 2")
         if self.size_bytes % self.block_bytes:
             raise ValueError(f"{self.name}: size not a multiple of block")
         total_blocks = self.size_bytes // self.block_bytes

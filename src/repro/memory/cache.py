@@ -9,7 +9,8 @@ the next level; the access completes when the fill returns.
 
 from __future__ import annotations
 
-from typing import Callable, List
+from collections import defaultdict
+from typing import Callable, DefaultDict, List
 
 from repro.config.processor import CacheConfig
 from repro.memory.mshr import MSHRFile
@@ -48,19 +49,17 @@ class SetAssocCache:
         self._next_level = next_level
         self._block_shift = config.block_bytes.bit_length() - 1
         self._bank_mask = config.banks - 1
-        if config.banks & self._bank_mask:
-            raise ValueError("bank count must be a power of two")
-        self._set_mask = config.sets_per_bank - 1
-        self._set_shift = self._bank_mask.bit_length()
+        # Bank bits sit below set bits, so ``block & _index_mask`` is a
+        # flat index of the (bank, set) pair.
+        self._index_mask = config.banks * config.sets_per_bank - 1
         # Hot-path copies of immutable config values.
         self._hit_latency = config.hit_latency
         self._fill_delta = config.miss_latency - config.hit_latency
         self._assoc = config.assoc
-        # tags[bank][set] = list of block tags in LRU order (front = MRU).
-        self._tags: List[List[List[int]]] = [
-            [[] for _ in range(config.sets_per_bank)]
-            for _ in range(config.banks)
-        ]
+        # tags[index] = list of block tags in LRU order (front = MRU).
+        # A set's list is created on first touch: a short run touches a
+        # few hundred of the L2's 16K sets.
+        self._tags: DefaultDict[int, List[int]] = defaultdict(list)
         self._mshrs = MSHRFile(
             config.banks,
             config.mshr_primary_per_bank,
@@ -76,12 +75,6 @@ class SetAssocCache:
 
     def block_address(self, addr: int) -> int:
         return addr >> self._block_shift
-
-    def _bank_of(self, block: int) -> int:
-        return block & self._bank_mask
-
-    def _set_of(self, block: int) -> int:
-        return (block >> (self._bank_mask.bit_length())) & self._set_mask
 
     # -- access -----------------------------------------------------------
 
@@ -102,7 +95,7 @@ class SetAssocCache:
             start = bank_free[bank]
         bank_free[bank] = start + 1
 
-        ways = self._tags[bank][(block >> self._set_shift) & self._set_mask]
+        ways = self._tags[block & self._index_mask]
         tag = block
         mshr_bank = self._mshrs.bank(bank)
         # MRU fast path first: locality makes ``ways[0]`` the common
@@ -157,9 +150,7 @@ class SetAssocCache:
         immediately, without occupying a bank slot or an MSHR.
         """
         block = addr >> self._block_shift
-        ways = self._tags[block & self._bank_mask][
-            (block >> self._set_shift) & self._set_mask
-        ]
+        ways = self._tags[block & self._index_mask]
         if ways and ways[0] == block:
             return
         self._install(ways, block)
@@ -169,8 +160,7 @@ class SetAssocCache:
     def contains(self, addr: int) -> bool:
         """True if the block holding *addr* is resident (tests only)."""
         block = self.block_address(addr)
-        ways = self._tags[self._bank_of(block)][self._set_of(block)]
-        return block in ways
+        return block in self._tags.get(block & self._index_mask, ())
 
     @property
     def accesses(self) -> int:

@@ -36,6 +36,27 @@ def test_cache_geometry_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (dict(block_bytes=48, size_bytes=48 * 64), "block size"),
+        (dict(banks=3, size_bytes=32 * 2 * 3 * 4), "bank count"),
+        (dict(size_bytes=0), "size must be positive"),
+        (dict(assoc=0), "associativity"),
+    ],
+    ids=["block-48", "banks-3", "size-0", "assoc-0"],
+)
+def test_cache_geometry_rejected_loudly(overrides, message):
+    params = dict(
+        name="L9", size_bytes=1024, assoc=2, block_bytes=32, banks=2,
+        hit_latency=2, miss_latency=10,
+        mshr_primary_per_bank=2, mshr_secondary_per_primary=1,
+    )
+    params.update(overrides)
+    with pytest.raises(ValueError, match=f"^L9: {message}"):
+        CacheConfig(**params)
+
+
 def test_cache_sets_per_bank():
     cfg = ProcessorConfig()
     # 32KB / 32B blocks / (2-way * 4 banks) = 128 sets per bank.

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config.processor import CacheConfig
+from repro.config.processor import CacheConfig, ProcessorConfig
 from repro.memory.cache import SetAssocCache
 
 
@@ -93,3 +93,47 @@ def test_stats():
 def test_bad_bank_count():
     with pytest.raises(ValueError):
         _small_cache(banks=3, size_bytes=32 * 2 * 3 * 4)
+
+
+_DEFAULTS = ProcessorConfig()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [_DEFAULTS.icache, _DEFAULTS.dcache, _DEFAULTS.l2],
+    ids=lambda c: c.name,
+)
+def test_default_geometry_maps_bank_and_set_bits(config):
+    cache = SetAssocCache(config, lambda addr, cycle, write: cycle + 1)
+    block = config.block_bytes
+    bank_stride = block  # next bank, same set
+    set_stride = block * config.banks  # same bank, next set
+    way_stride = set_stride * config.sets_per_bank  # same bank and set
+
+    # A set nobody touched is empty, and asking does not create it.
+    assert not cache.contains(0)
+    assert not cache._tags
+
+    # Fill one (bank, set) to capacity, then touch every neighbour that
+    # differs only in bank bits or only in set bits: none may evict.
+    base = [w * way_stride for w in range(config.assoc)]
+    neighbours = [b * bank_stride for b in range(1, config.banks)] + [
+        s * set_stride for s in (1, config.sets_per_bank - 1)
+    ]
+    t = 0
+    for addr in base + neighbours:
+        t = cache.access(addr, t).complete_cycle
+    assert all(cache.contains(a) for a in base + neighbours)
+
+    # One more block in the same bank and set evicts the LRU one.
+    t = cache.access(base[0], t).complete_cycle  # base[0] becomes MRU
+    cache.access(config.assoc * way_stride, t)
+    lru = base[1] if config.assoc > 1 else base[0]
+    assert not cache.contains(lru)
+    assert cache.contains(config.assoc * way_stride)
+    assert all(cache.contains(a) for a in neighbours)
+
+    untouched = 2 * set_stride
+    sets = len(cache._tags)
+    assert not cache.contains(untouched)
+    assert len(cache._tags) == sets

@@ -1,5 +1,7 @@
 """Unit tests for the wired-up memory hierarchy."""
 
+import tracemalloc
+
 from repro.config import continuous_window_128
 from repro.memory.hierarchy import MemoryHierarchy
 
@@ -54,3 +56,17 @@ def test_warm_pretouches():
     assert h.dcache.contains(0x4000)
     assert h.dcache.contains(0x5000)
     assert h.icache.contains(0x0)
+
+
+def test_construction_allocates_little():
+    # Tag sets are created on first touch, so a fresh hierarchy needs a
+    # few KB, not one list per set of the 4 MB L2 (~1.1 MB).
+    config = continuous_window_128()
+    tracemalloc.start()
+    try:
+        h = MemoryHierarchy(config)
+        allocated, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert h.l2.accesses == 0
+    assert allocated < 64 * 1024
