@@ -26,7 +26,7 @@ from repro.config import (
     SpeculationPolicy,
 )
 from repro.core import simulate
-from repro.splitwindow import simulate_split
+from repro.eventsim import simulate_split_event
 from repro.workloads import kernel_trace
 
 
@@ -41,7 +41,7 @@ def main() -> None:
         ),
         trace,
     )
-    split = simulate_split(
+    split = simulate_split_event(
         split_window(
             SchedulingModel.AS, SpeculationPolicy.NAIVE,
             num_units=4, task_size=32,

@@ -38,7 +38,7 @@ from repro.observe import (
     StallAccountant,
     default_observer,
 )
-from repro.splitwindow import simulate_split
+from repro.eventsim import simulate_split_event as simulate_split
 from repro.trace.events import Trace
 from repro.vm import run_program
 from repro.workloads import (

@@ -192,7 +192,7 @@ class SplitWindowConfig:
     and whether main-memory accesses contend for banks (``mem_banks`` /
     ``bank_ports``). All default to the *degenerate* point (0-latency
     links, unbounded bandwidth, no bank contention) at which the
-    event-driven machine is bit-identical to the legacy cycle-driven
+    machine is bit-identical to the independent oracle
     :class:`repro.splitwindow.processor.SplitWindowProcessor`.
     """
 

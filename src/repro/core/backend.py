@@ -16,15 +16,17 @@ numbers for the same (config, trace, plan):
     a bug (CI's ``backend-parity`` job enforces this).
 
 ``eventsim``
-    The discrete-event split-window machine
-    (:class:`repro.eventsim.splitwindow.EventSplitWindowProcessor`).
-    It exists for *coverage*, not speed: it is the only backend that
-    models non-degenerate sync-fabric settings (link latency, bounded
-    bandwidth, banked memory — see
+    The split-window machine
+    (:class:`repro.eventsim.splitwindow.EventSplitWindowProcessor`), a
+    per-cycle loop with a timed sync fabric. It is the only engine for
+    split-window configs: :func:`repro.experiments.runner.run_benchmark`
+    sends every split config to it whatever backend was requested, and
+    it alone models non-degenerate sync-fabric settings (link latency,
+    bounded bandwidth, banked memory — see
     :class:`repro.config.processor.SplitWindowConfig`). At degenerate
-    fabric settings it is bit-identical to the legacy cycle-driven
-    split model (CI's ``eventsim-parity`` job enforces this); for
-    non-split configs it delegates to ``reference``.
+    fabric settings it is bit-identical to the independent oracle
+    :mod:`repro.splitwindow` (CI's ``eventsim-parity`` job enforces
+    this); for non-split configs it delegates to ``reference``.
 
 Selection precedence (first non-empty wins)::
 
@@ -185,7 +187,7 @@ def vector_limitation(
     The vector core keeps no per-instruction objects, so anything that
     wants to inspect them — the observability bus, pipeview timelines,
     utilisation telemetry — or a split-window configuration (modelled
-    only by the reference core) forces the reference backend.
+    only by the ``eventsim`` machine) keeps it off the vector core.
     """
     if observer is not None or getattr(config, "observe", False):
         return "observability requires the reference backend"
@@ -209,23 +211,6 @@ def eventsim_limitation(config) -> Optional[str]:
     if split is None or not getattr(split, "enabled", False):
         return "eventsim models split-window configs only"
     return None
-
-
-def split_backend_for(config, backend_name: str) -> str:
-    """Which backend actually serves a split-window run.
-
-    Non-degenerate fabric settings exist only in the event-driven
-    machine, so they force ``eventsim`` regardless of the requested
-    backend; an explicit ``eventsim`` request is honoured; anything
-    else falls back to the legacy cycle-driven reference model (the
-    two are bit-identical wherever both are defined).
-    """
-    split = getattr(config, "split", None)
-    if split is None or not getattr(split, "enabled", False):
-        raise ValueError("not a split-window config")
-    if backend_name == "eventsim" or not split.fabric_degenerate:
-        return "eventsim"
-    return "reference"
 
 
 # ----------------------------------------------------------------------

@@ -1,26 +1,17 @@
-"""Discrete-event simulation substrate (ROADMAP item 3).
+"""The split-window machine and its cross-window sync fabric.
 
-``repro.eventsim`` provides a heapq-driven discrete-event engine
-(:mod:`repro.eventsim.engine`) with deterministic tie-breaking, a
-component/port message-passing decomposition, and an event-driven
-re-implementation of the split-window machine
-(:mod:`repro.eventsim.splitwindow`) whose cross-window sync fabric
-(:mod:`repro.eventsim.fabric`) exposes link latency, bandwidth, and
-banked-memory contention knobs the legacy cycle-driven model cannot
-express. At degenerate fabric settings the event-driven machine is
-bit-identical to :class:`repro.splitwindow.processor.SplitWindowProcessor`
-(enforced by ``tests/test_splitwindow_parity.py``).
+:mod:`repro.eventsim.splitwindow` is the authoritative split-window
+model (Section 3.7): a per-cycle loop whose only timed traffic is the
+sync fabric's posted-store messages (:mod:`repro.eventsim.fabric`),
+which also exposes link latency, bandwidth, and banked-memory
+contention knobs. At degenerate fabric settings the machine is
+bit-identical to the independent oracle
+:class:`repro.splitwindow.processor.SplitWindowProcessor` (enforced by
+``tests/test_splitwindow_parity.py``).
 
-See ``docs/EVENTSIM.md`` for the engine model and determinism contract.
+See ``docs/EVENTSIM.md`` for the cycle loop and determinism contract.
 """
 
-from repro.eventsim.engine import (
-    Component,
-    Engine,
-    Event,
-    EventQueue,
-    Port,
-)
 from repro.eventsim.fabric import BankedMemory, SyncFabric
 from repro.eventsim.splitwindow import (
     EventSplitWindowProcessor,
@@ -29,12 +20,7 @@ from repro.eventsim.splitwindow import (
 
 __all__ = [
     "BankedMemory",
-    "Component",
-    "Engine",
-    "Event",
-    "EventQueue",
     "EventSplitWindowProcessor",
-    "Port",
     "SyncFabric",
     "simulate_split_event",
 ]

@@ -1,10 +1,10 @@
-"""Cross-window sync fabric and banked memory for the event machine.
+"""Cross-window sync fabric and banked memory for the split-window machine.
 
-The legacy cycle-driven split-window model treats the global
-address-based scheduler as a magic structure: a posted store address
-becomes visible to every unit ``1 + addr_scheduler_latency`` cycles
-after posting, with no transport cost and no bandwidth limit. The
-:class:`SyncFabric` generalizes posting into messages over a link with
+The oracle split-window model treats the global address-based
+scheduler as a magic structure: a posted store address becomes visible
+to every unit ``1 + addr_scheduler_latency`` cycles after posting, with
+no transport cost and no bandwidth limit. The :class:`SyncFabric`
+generalizes posting into messages over a link with
 
 * **link latency** — extra cycles for the message to cross the fabric,
 * **bandwidth** — at most ``sync_bandwidth`` messages delivered per
@@ -13,8 +13,8 @@ after posting, with no transport cost and no bandwidth limit. The
 
 With ``link_latency == 0`` and unbounded bandwidth the fabric is
 *degenerate*: posting is synchronous and the machine is bit-identical
-to the legacy model. Any finite bandwidth implies a real fabric, so
-evented deliveries always take at least one cycle.
+to the oracle. Any finite bandwidth implies a real fabric, so evented
+deliveries always take at least one cycle.
 
 :class:`BankedMemory` adds per-bank contention in front of the magic
 memory hierarchy: loads hash to ``mem_banks`` interleaved banks (32-byte
@@ -25,31 +25,32 @@ with a free bank port.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
-
-from repro.eventsim.engine import Event
+import heapq
+from typing import Dict, Iterator, List, Tuple
 
 
 class SyncFabric:
     """Bandwidth/latency model for posted-store-address messages.
 
-    The fabric does not schedule events itself; it computes the
-    deterministic *visibility cycle* of each message and lets the
-    machine schedule the delivery. Slots are assigned FIFO in post
-    order, which together with the engine's ``(time, priority, seq)``
-    ordering keeps the whole pipeline deterministic.
+    Each posted message waits on :attr:`heap` as a plain
+    ``(visible, order, store_seq)`` tuple, where ``order`` counts posts,
+    so due messages pop in visibility cycle, then post order. A squash
+    cancels a message by dropping its ``order`` from the in-flight map;
+    the stale tuple is skipped when it surfaces.
     """
 
     def __init__(self, link_latency: int, bandwidth: int) -> None:
         self.link_latency = link_latency
         self.bandwidth = bandwidth  # 0 = unbounded
+        #: Pending deliveries: ``(visible, order, store_seq)``.
+        self.heap: List[Tuple[int, int, int]] = []
         #: Messages assigned to each delivery cycle (bandwidth > 0 only).
         self._slots: Dict[int, int] = {}
-        #: Delivery cycle each in-flight store seq was assigned.
-        self._slot_of: Dict[int, int] = {}
-        #: In-flight delivery events by store seq, for squash cancel.
-        self._inflight: Dict[int, Event] = {}
+        #: In-flight messages: order -> (visible, store_seq).
+        self._inflight: Dict[int, Tuple[int, int]] = {}
         self.posted = 0
+        self.delivered = 0
+        self.cancelled = 0
         self.queued = 0  # messages delayed behind a full slot
         self.max_delay = 0  # worst queueing delay seen (beyond base)
 
@@ -66,28 +67,40 @@ class SyncFabric:
                 visible += 1
         return visible
 
-    def claim(self, seq: int, base: int) -> int:
-        """Reserve the slot for store *seq* posting at *base*; return it."""
+    def post(self, seq: int, base: int) -> int:
+        """Send store *seq*'s address, posted at *base*; return the
+        cycle it becomes visible."""
         visible = self.visibility(base)
         if self.bandwidth > 0:
             self._slots[visible] = self._slots.get(visible, 0) + 1
-            self._slot_of[seq] = visible
             if visible > base + self.link_latency:
                 self.queued += 1
                 self.max_delay = max(
                     self.max_delay, visible - base - self.link_latency
                 )
+        order = self.posted
         self.posted += 1
+        self._inflight[order] = (visible, seq)
+        heapq.heappush(self.heap, (visible, order, seq))
         return visible
 
-    def register(self, seq: int, event: Event) -> None:
-        """Track the delivery event for *seq* so squash can cancel it."""
-        self._inflight[seq] = event
+    def due(self, cycle: int) -> Iterator[Tuple[int, int]]:
+        """Pop live messages visible by *cycle*; yield ``(seq, visible)``.
 
-    def delivered(self, seq: int) -> None:
-        """Message for *seq* arrived; drop in-flight tracking."""
-        self._inflight.pop(seq, None)
-        self._slot_of.pop(seq, None)
+        The consumer may cancel messages between yields: each tuple is
+        checked against the in-flight map as it is popped.
+        """
+        heap = self.heap
+        inflight = self._inflight
+        while heap and heap[0][0] <= cycle:
+            visible, order, seq = heapq.heappop(heap)
+            if inflight.pop(order, None) is None:
+                self.cancelled += 1
+                continue
+            self.delivered += 1
+            # Later posts land at >= cycle + 1: this slot is never read.
+            self._slots.pop(visible, None)
+            yield seq, visible
 
     def cancel_from(self, seq: int) -> None:
         """Squash recovery: kill in-flight messages for seqs >= *seq*.
@@ -95,15 +108,26 @@ class SyncFabric:
         Cancelled messages release their bandwidth slots, so re-posted
         stores after re-execution contend only with live traffic.
         """
-        for s in [s for s in self._inflight if s >= seq]:
-            self._inflight.pop(s).cancel()
-            slot = self._slot_of.pop(s, None)
-            if slot is not None:
-                remaining = self._slots.get(slot, 0) - 1
-                if remaining > 0:
-                    self._slots[slot] = remaining
-                else:
-                    self._slots.pop(slot, None)
+        inflight = self._inflight
+        for order in [o for o, (_, s) in inflight.items() if s >= seq]:
+            visible, _ = inflight.pop(order)
+            remaining = self._slots.get(visible, 0) - 1
+            if remaining > 0:
+                self._slots[visible] = remaining
+            else:
+                self._slots.pop(visible, None)
+
+    def flush(self) -> None:
+        """End of run: count what is still queued without delivering it.
+
+        Live messages would arrive after the last commit and change
+        nothing, so they count as delivered; the rest were cancelled.
+        """
+        live = len(self._inflight)
+        self.delivered += live
+        self.cancelled += len(self.heap) - live
+        self.heap.clear()
+        self._inflight.clear()
 
     def stats(self) -> Dict[str, int]:
         return {

@@ -23,14 +23,9 @@ from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.config.presets import config_name
 from repro.config.processor import ProcessorConfig
-from repro.core.backend import (
-    resolve_backend,
-    split_backend_for,
-    vector_limitation,
-)
+from repro.core.backend import resolve_backend, vector_limitation
 from repro.core.processor import Processor
 from repro.core.result import SimResult
-from repro.splitwindow.processor import SplitWindowProcessor
 from repro.trace.sampling import SamplingPlan, Segment, parse_ratio
 from repro.workloads.catalog import (
     get_compiled,
@@ -195,20 +190,16 @@ def run_benchmark(
     if config.split.enabled:
         # The split-window model has no functional-warm mode; its caches
         # warm during the run, and comparisons against it use the same
-        # treatment on both sides. Non-degenerate fabric settings exist
-        # only in the event-driven machine and force it; at degenerate
-        # settings the two models are bit-identical.
-        backend_name = split_backend_for(config, backend_name)
+        # treatment on both sides. One machine serves every split
+        # config, whatever backend was requested.
+        from repro.eventsim.splitwindow import EventSplitWindowProcessor
+
+        backend_name = "eventsim"
         trace = get_trace(name, plan.length, settings.seed)
         info = _dependences_for_length(
             name, plan.length, settings.seed, trace=trace
         )
-        if backend_name == "eventsim":
-            from repro.eventsim.splitwindow import EventSplitWindowProcessor
-
-            result = EventSplitWindowProcessor(config, trace, info).run()
-        else:
-            result = SplitWindowProcessor(config, trace, info).run()
+        result = EventSplitWindowProcessor(config, trace, info).run()
     elif backend_name == "vector" and vector_limitation(config) is None:
         from repro.core.vector import VectorProcessor
 

@@ -23,6 +23,10 @@ This model captures exactly the properties the section's argument needs:
 
 It is deliberately simpler than the continuous-window core — the paper
 uses the split model only for the qualitative contrast of Figure 7.
+
+This module is the independent test oracle: experiments run the
+authoritative machine, :mod:`repro.eventsim.splitwindow`, which is
+bit-identical to it at degenerate fabric settings.
 """
 
 from __future__ import annotations
@@ -36,37 +40,12 @@ from repro.config.processor import (
     SpeculationPolicy,
 )
 from repro.core.result import SimResult
+from repro.eventsim.splitwindow import _Inst
 from repro.isa.opcodes import FP_CLASSES
 from repro.isa.registers import REG_ZERO
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.trace.dependences import DependenceInfo, compute_dependence_info
 from repro.trace.events import Trace
-
-
-class _Inst:
-    """Per-dynamic-instruction timing state."""
-
-    __slots__ = (
-        "inst", "seq", "task", "producers", "dispatch_cycle",
-        "issue_cycle", "complete_cycle", "write_cycle", "posted_cycle",
-        "mem_issue_cycle", "forwarded_from", "generation",
-    )
-
-    def __init__(self, inst, task: int, producers: Tuple[int, ...]):
-        self.inst = inst
-        self.seq = inst.seq
-        self.task = task
-        self.producers = producers
-        self.reset()
-
-    def reset(self) -> None:
-        self.dispatch_cycle: Optional[int] = None
-        self.issue_cycle: Optional[int] = None
-        self.complete_cycle: Optional[int] = None
-        self.write_cycle: Optional[int] = None
-        self.posted_cycle: Optional[int] = None
-        self.mem_issue_cycle: Optional[int] = None
-        self.forwarded_from: Optional[int] = None
 
 
 class SplitWindowProcessor:

@@ -1,25 +1,26 @@
-"""Behavior tests for the event-driven split-window machine.
+"""Behavior tests for the split-window machine (``repro.eventsim``).
 
-Bit-level parity with the legacy engine at degenerate fabric settings
-is pinned by ``test_splitwindow_parity.py``; this module covers what is
-*new* in ``repro.eventsim``: the sync-fabric knobs (link latency,
-bounded bandwidth, banked memory), backend routing, the store schema
-regression for fabric points, and the run-to-run determinism of the
-event machine itself.
+Bit-level parity with the oracle at degenerate fabric settings is
+pinned by ``test_splitwindow_parity.py``; this module covers what only
+the machine models: the sync-fabric knobs (link latency, bounded
+bandwidth, banked memory), squash cancellation of in-flight messages,
+the cycle guard, backend routing, the store schema regression for
+fabric points, and run-to-run determinism.
 """
 
+from collections import Counter
 from dataclasses import asdict
 
 import pytest
 
 from repro.config import SchedulingModel, SpeculationPolicy
 from repro.config.presets import split_window
-from repro.core.backend import (
-    backend_capabilities,
-    eventsim_limitation,
-    split_backend_for,
+from repro.core.backend import backend_capabilities, eventsim_limitation
+from repro.eventsim import (
+    EventSplitWindowProcessor,
+    SyncFabric,
+    simulate_split_event,
 )
-from repro.eventsim import simulate_split_event
 from repro.experiments.runner import (
     ExperimentSettings,
     _config_key,
@@ -54,11 +55,80 @@ def _run(config, kernel="recurrence", length=4_000):
 # -- determinism and bookkeeping --------------------------------------
 
 
-def test_event_run_is_deterministic():
-    config = _split(link_latency=2, sync_bandwidth=2)
+@pytest.mark.parametrize(
+    "point",
+    (
+        {"link_latency": 2, "sync_bandwidth": 2},
+        {"sync_bandwidth": 1},
+        {"link_latency": 1, "mem_banks": 2, "bank_ports": 1},
+    ),
+    ids=lambda p: "-".join(f"{k}{v}" for k, v in p.items()),
+)
+def test_event_run_is_deterministic(point):
+    """Same config and trace => identical SimResult, extra included."""
+    config = _split(**point)
     first = _run(config)
     second = _run(config)
     assert asdict(first) == asdict(second)
+
+
+def test_squash_cancels_in_flight_messages(monkeypatch):
+    """A squash cancels its stores' in-flight messages; none of them
+    reaches the delivery-time violation check, and every posted message
+    is counted once, as delivered or as cancelled."""
+    posts = {}  # order -> (store seq, visible)
+    cancelled = set()  # orders a squash dropped
+    flushed = set()  # orders still in flight when the run ended
+    checked = Counter()  # (store seq, visible) that ran the check
+
+    post, cancel_from, flush = (
+        SyncFabric.post, SyncFabric.cancel_from, SyncFabric.flush
+    )
+    deliver = EventSplitWindowProcessor._deliver
+
+    def spy_post(fabric, seq, base):
+        order = fabric.posted
+        posts[order] = (seq, post(fabric, seq, base))
+        return posts[order][1]
+
+    def spy_cancel_from(fabric, seq):
+        before = set(fabric._inflight)
+        cancel_from(fabric, seq)
+        cancelled.update(before - set(fabric._inflight))
+
+    def spy_flush(fabric):
+        flushed.update(fabric._inflight)
+        flush(fabric)
+
+    def spy_deliver(machine, seq, visible):
+        checked[seq, visible] += 1
+        deliver(machine, seq, visible)
+
+    monkeypatch.setattr(SyncFabric, "post", spy_post)
+    monkeypatch.setattr(SyncFabric, "cancel_from", spy_cancel_from)
+    monkeypatch.setattr(SyncFabric, "flush", spy_flush)
+    monkeypatch.setattr(EventSplitWindowProcessor, "_deliver", spy_deliver)
+
+    result = _run(
+        _split(sync_bandwidth=1, num_units=8, task_size=16),
+        kernel="129.compress", length=3_000,
+    )
+    info = result.extra["eventsim"]
+    assert info["events_cancelled"] > 0
+    assert info["events_cancelled"] == len(cancelled)
+    assert info["fabric_posted"] == len(posts)
+    assert (info["events_fired"] - result.cycles
+            == info["fabric_posted"] - info["events_cancelled"])
+    live = set(posts) - cancelled - flushed
+    assert checked == Counter(posts[order] for order in live)
+
+
+def test_cycle_guard_raises_when_wedged():
+    trace = get_trace("recurrence", 4_000, seed=0)
+    machine = EventSplitWindowProcessor(_split(), trace)
+    machine.guard_limit = 10
+    with pytest.raises(RuntimeError, match="split-window simulation wedged"):
+        machine.run()
 
 
 def test_eventsim_stats_attached():
@@ -114,13 +184,23 @@ def test_legacy_engine_rejects_non_degenerate_fabric():
         SplitWindowProcessor(_split(link_latency=1), trace)
 
 
-def test_split_backend_routing():
-    degenerate = _split()
-    fabric = _split(sync_bandwidth=2)
-    assert split_backend_for(degenerate, "reference") == "reference"
-    assert split_backend_for(degenerate, "eventsim") == "eventsim"
-    assert split_backend_for(fabric, "reference") == "eventsim"
-    assert split_backend_for(fabric, "auto") == "eventsim"
+@pytest.mark.parametrize("backend", ("reference", "vector", "eventsim"))
+def test_split_runs_on_eventsim_for_any_backend(backend):
+    """Every split cell runs the machine, and it matches the oracle."""
+    settings = ExperimentSettings(
+        timing_instructions=1_200, warmup_instructions=400
+    )
+    config = _split()
+    result = run_benchmark("126.gcc", config, settings, backend=backend)
+    assert result.extra["backend"] == "eventsim"
+    trace = get_trace("126.gcc", settings.trace_length, settings.seed)
+    oracle = asdict(
+        simulate_split(config, trace, compute_dependence_info(trace))
+    )
+    machine = asdict(result)
+    oracle.pop("extra")
+    machine.pop("extra")
+    assert machine == oracle
 
 
 def test_backend_capabilities_and_limitation():
