@@ -8,7 +8,8 @@ iteration's store to the next iteration's load. This script runs it on:
    address-based scheduler and naive speculation (AS/NAV), and
 2. a *distributed, split-window* machine with the same scheduler,
 
-and shows exactly what Section 3.7 argues: the continuous window's
+both through ``repro.core.simulate``, which picks the machine from the
+config. It shows exactly what Section 3.7 argues: the continuous window's
 program-order fetch means the store's address is always posted before
 the dependent load asks, so nothing miss-speculates — while the split
 window fetches iterations concurrently on different units, the load
@@ -26,7 +27,6 @@ from repro.config import (
     SpeculationPolicy,
 )
 from repro.core import simulate
-from repro.eventsim import simulate_split_event
 from repro.workloads import kernel_trace
 
 
@@ -41,7 +41,7 @@ def main() -> None:
         ),
         trace,
     )
-    split = simulate_split_event(
+    split = simulate(
         split_window(
             SchedulingModel.AS, SpeculationPolicy.NAIVE,
             num_units=4, task_size=32,

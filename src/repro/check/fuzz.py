@@ -34,9 +34,9 @@ and asserts the paper's cross-policy relations:
   counts dip a few percent between adjacent latencies; the worst
   legitimate excursion observed across the calibrated design space is
   17.4%). The committed instruction stream must stay latency-invariant
-  exactly (R1's argument applied to a timing-only knob). Cells with
-  ``split_bandwidth > 0`` run on the event-driven backend
-  (:mod:`repro.eventsim`), so corpus replay also exercises that engine.
+  exactly (R1's argument applied to a timing-only knob). Split cells run
+  on the split-window machine (:mod:`repro.eventsim`), so corpus replay
+  also exercises that engine.
 
 A failing cell is minimised by halving its run lengths while the
 failure persists, and can be saved as a JSON corpus entry; the
@@ -97,7 +97,7 @@ class FuzzCell:
     the window is partitioned into that many sub-windows running
     ``split_task``-instruction tasks, with the sync fabric limited to
     ``split_bandwidth`` messages per cycle (0 = unbounded; a bounded
-    fabric is modelled by the event-driven backend). Split fields are
+    fabric is modelled by the split-window machine). Split fields are
     optional in serialized form, so version-1 corpora load unchanged.
     """
 

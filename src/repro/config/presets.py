@@ -84,8 +84,8 @@ def split_window(
     partitioned into *num_units* sub-windows that fetch independently.
     The fabric knobs (*link_latency*, *sync_bandwidth*, *mem_banks*,
     *bank_ports*) parameterize the cross-window sync fabric modelled by
-    :mod:`repro.eventsim`; any non-degenerate setting requires the
-    event-driven backend (the legacy cycle model rejects it).
+    :mod:`repro.eventsim`, the machine every split config runs on (the
+    legacy cycle model rejects non-degenerate settings).
     """
     base = continuous_window_128(
         scheduling, policy, addr_scheduler_latency, **memdep_kwargs

@@ -306,11 +306,6 @@ class ProcessorConfig:
     #: :mod:`repro.observe`). Purely additive: timing is bit-identical
     #: with or without it; results gain an ``extra["observe"]`` summary.
     observe: bool = False
-    #: Preferred simulator backend (``"reference"`` or ``"vector"``);
-    #: None defers to ``$REPRO_BACKEND`` / the default. Backends are
-    #: bit-identical, so this field is deliberately *excluded* from
-    #: result-store keys and does not affect ``label``.
-    backend: Optional[str] = None
 
     def with_memdep(
         self,

@@ -81,6 +81,11 @@ class Processor:
         telemetry: Optional["Telemetry"] = None,
         observer=None,
     ) -> None:
+        if config.split.enabled:
+            raise ValueError(
+                "split-window configs run on the split-window machine "
+                "(repro.eventsim), not the continuous-window core"
+            )
         self.config = config
         self.trace = trace
         #: Optional pipeview recorder (repro.core.timeline).
@@ -1170,17 +1175,35 @@ def simulate(
     observer=None,
     backend: Optional[str] = None,
 ) -> SimResult:
-    """Convenience wrapper: build a processor for *trace* and run it.
+    """Convenience wrapper: build the machine for *config* and run it.
 
-    *backend* picks the simulator core (``"reference"`` or
-    ``"vector"``); None defers to ``config.backend`` and then the
-    ``$REPRO_BACKEND`` environment variable. All backends produce
-    bit-identical results — see :mod:`repro.core.backend`.
+    :func:`repro.core.backend.machine_for` picks the machine: split-
+    window configs run on the split-window machine, everything else on
+    the continuous-window core that *backend* (``"reference"`` or
+    ``"vector"``; None defers to ``$REPRO_BACKEND``) selects. The two
+    continuous-window cores produce bit-identical results. The split-
+    window machine times the whole trace and attaches no observer, so
+    a split config with a *plan* or an *observer* raises
+    :class:`ValueError`.
     """
-    from repro.core.backend import get_backend, resolve_backend
+    from repro.core.backend import machine_for
 
-    name = resolve_backend(backend, config)
-    processor = get_backend(name)(
-        config, trace, dep_info, observer=observer
-    )
-    return processor.run(plan)
+    machine = machine_for(config, backend, objects=observer is not None)
+    if machine == "eventsim":
+        if plan is not None:
+            raise ValueError(
+                "the split-window machine has no functional warm-up: "
+                "it times the whole trace and takes no sampling plan"
+            )
+        if observer is not None:
+            raise ValueError(
+                "the split-window machine does not support observers"
+            )
+        from repro.eventsim.splitwindow import EventSplitWindowProcessor
+
+        return EventSplitWindowProcessor(config, trace, dep_info).run()
+    if machine == "vector":
+        from repro.core.vector import VectorProcessor
+
+        return VectorProcessor(config, trace, dep_info).run(plan)
+    return Processor(config, trace, dep_info, observer=observer).run(plan)

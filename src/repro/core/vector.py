@@ -14,9 +14,9 @@ record that captured ``(seq, ref)`` is stale exactly when
 The port must stay bit-identical to the reference — the golden-parity
 suite and CI's ``backend-parity`` job compare every :class:`SimResult`
 field. Anything this core cannot express (observability, timelines,
-telemetry, split windows) is routed to the reference backend by
-:func:`repro.core.backend.vector_limitation`; this class rejects those
-arguments outright.
+telemetry) is routed to the reference core, and split-window configs
+to the split-window machine, by :func:`repro.core.backend.machine_for`;
+this class rejects those configs outright.
 """
 
 from __future__ import annotations
@@ -464,11 +464,12 @@ class VectorProcessor:
     ) -> None:
         if config.split.enabled:
             raise ValueError(
-                "split-window configs require the reference backend"
+                "split-window configs run on the split-window machine "
+                "(repro.eventsim)"
             )
         if config.observe:
             raise ValueError(
-                "observability requires the reference backend"
+                "observability requires the reference core"
             )
         self.config = config
         if isinstance(trace, CompiledTrace):

@@ -19,6 +19,7 @@ import sys
 import time
 from typing import Callable, Dict
 
+from repro.core.backend import BACKEND_ENV, BACKENDS, resolve_backend
 from repro.experiments.ablations import (
     ablation_predictors,
     ablation_recovery,
@@ -54,11 +55,6 @@ ARTIFACTS: Dict[str, Callable] = {
     "ablation-split": ablation_split_geometry,
 }
 
-def _backend_choices():
-    from repro.core.backend import available_backends
-
-    return available_backends()
-
 
 def _apply_backend(name) -> None:
     """Make *name* the process-wide default simulator backend.
@@ -69,8 +65,6 @@ def _apply_backend(name) -> None:
     inherit the environment across ``fork``.
     """
     if name:
-        from repro.core.backend import BACKEND_ENV, resolve_backend
-
         resolve_backend(name)  # fail fast on typos
         os.environ[BACKEND_ENV] = name
 
@@ -169,7 +163,7 @@ def _dispatch(argv=None) -> int:
              "(readable with 'repro-experiments status FILE')",
     )
     parser.add_argument(
-        "--backend", choices=_backend_choices(), default=None,
+        "--backend", choices=BACKENDS, default=None,
         help="simulator backend for every run (default: "
              "$REPRO_BACKEND or 'reference'; backends are "
              "bit-identical — 'vector' is just faster)",
@@ -501,7 +495,7 @@ def _check_main(argv) -> int:
         help="write the fuzzing outcome as JSON to FILE",
     )
     fuzz_p.add_argument(
-        "--backend", choices=_backend_choices(), default=None,
+        "--backend", choices=BACKENDS, default=None,
         help="simulator backend for every fuzzed cell (default: "
              "$REPRO_BACKEND or 'reference')",
     )

@@ -409,7 +409,7 @@ def figure7_sweep(
     cross-window fabric makes it: every cell runs the split machine
     (AS/NAV, 4 units) at one (scheduler latency, fabric bandwidth)
     point. Bandwidth 0 means unbounded (the legacy idealization);
-    bounded-bandwidth cells are modelled by the event-driven backend,
+    bounded-bandwidth cells are modelled by the split-window machine,
     where a posted store address travels as a message and a dependent
     load that issues before the message arrives is a miss-speculation
     the continuous machine could never commit.

@@ -23,8 +23,8 @@ from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.config.presets import config_name
 from repro.config.processor import ProcessorConfig
-from repro.core.backend import resolve_backend, vector_limitation
-from repro.core.processor import Processor
+from repro.core.backend import machine_for, resolve_backend
+from repro.core.processor import simulate
 from repro.core.result import SimResult
 from repro.trace.sampling import SamplingPlan, Segment, parse_ratio
 from repro.workloads.catalog import (
@@ -164,15 +164,16 @@ def run_benchmark(
     is active — see :func:`repro.experiments.store.set_store`), then
     an actual simulation. Fresh simulations populate both layers.
 
-    *backend* selects the simulator core (precedence: argument >
-    ``config.backend`` > ``$REPRO_BACKEND`` > ``"reference"``).
-    Backends are bit-identical, so cache keys ignore the choice — a
-    result produced by either backend satisfies both; fresh results
-    record their producer in ``extra["backend"]``.
+    :func:`~repro.core.backend.machine_for` picks the machine from
+    *config* and *backend* (precedence: argument > ``$REPRO_BACKEND``
+    > ``"reference"``). The continuous-window backends are
+    bit-identical, so cache keys ignore the choice — a result produced
+    by either satisfies both; fresh results record the machine that
+    produced them in ``extra["backend"]``.
     """
     from repro.experiments.store import active_store
 
-    backend_name = resolve_backend(backend, config)
+    machine = machine_for(config, backend)
     config_key = _config_key(config)
     key = (name, settings, config_key)
     cached = _result_cache.get(key)
@@ -187,32 +188,21 @@ def run_benchmark(
             _result_cache[key] = restored
             return restored
     plan = _plan_for(name, settings)
-    if config.split.enabled:
+    if machine == "vector":
+        trace = get_compiled(name, plan.length, settings.seed)
+        info = None
+    else:
+        trace = get_trace(name, plan.length, settings.seed)
+        info = _dependences_for_length(
+            name, plan.length, settings.seed, trace=trace
+        )
+    if machine == "eventsim":
         # The split-window model has no functional-warm mode; its caches
         # warm during the run, and comparisons against it use the same
-        # treatment on both sides. One machine serves every split
-        # config, whatever backend was requested.
-        from repro.eventsim.splitwindow import EventSplitWindowProcessor
-
-        backend_name = "eventsim"
-        trace = get_trace(name, plan.length, settings.seed)
-        info = _dependences_for_length(
-            name, plan.length, settings.seed, trace=trace
-        )
-        result = EventSplitWindowProcessor(config, trace, info).run()
-    elif backend_name == "vector" and vector_limitation(config) is None:
-        from repro.core.vector import VectorProcessor
-
-        compiled = get_compiled(name, plan.length, settings.seed)
-        result = VectorProcessor(config, compiled).run(plan)
-    else:
-        backend_name = "reference"
-        trace = get_trace(name, plan.length, settings.seed)
-        info = _dependences_for_length(
-            name, plan.length, settings.seed, trace=trace
-        )
-        result = Processor(config, trace, info).run(plan)
-    result.extra["backend"] = backend_name
+        # treatment on both sides.
+        plan = None
+    result = simulate(config, trace, plan, info, backend=backend)
+    result.extra["backend"] = machine
     result.extra["served_by"] = _served_by
     _cache_stats.simulations += 1
     _result_cache[key] = result

@@ -221,12 +221,12 @@ class JobSpec:
 
         backend = doc.get("backend")
         if backend is not None:
-            from repro.core.backend import available_backends
+            from repro.core.backend import BACKENDS
 
-            if backend not in available_backends():
+            if backend not in BACKENDS:
                 raise ProtocolError(
                     f"unknown backend {backend!r} (available: "
-                    f"{', '.join(available_backends())})"
+                    f"{', '.join(BACKENDS)})"
                 )
 
         priority = doc.get("priority", 0.0)

@@ -69,7 +69,7 @@ class SplitWindowProcessor:
             raise ValueError(
                 "non-degenerate sync-fabric settings (link latency, "
                 "bounded bandwidth, banked memory) are modelled only by "
-                "the event-driven backend (repro.eventsim)"
+                "the event-driven split-window machine (repro.eventsim)"
             )
         self.config = config
         self.trace = trace

@@ -1,12 +1,12 @@
-"""Backend registry: selection precedence, validation, round-trip.
+"""Machine dispatch: backend precedence, validation, the one rule.
 
-The registry (:mod:`repro.core.backend`) is how every entry point —
-``simulate``, ``run_benchmark``, the parallel runner, the CLI — picks
-a simulator core. These tests pin its contract: unknown names fail
-fast with the available choices listed, precedence is
-``explicit > config.backend > $REPRO_BACKEND > default``, and the
-``vector`` factory transparently delegates to ``reference`` whenever
-a run needs per-instruction objects.
+:mod:`repro.core.backend` is how every entry point — ``simulate``,
+``run_benchmark``, the parallel runner, the CLI — picks a simulator.
+These tests pin its contract: unknown names (``eventsim`` included)
+fail fast with the available choices listed, precedence is
+``explicit > $REPRO_BACKEND > default``, and :func:`machine_for` sends
+split configs to the split-window machine and runs needing
+per-instruction objects on the reference core.
 """
 
 import pytest
@@ -15,17 +15,13 @@ from repro.config.presets import continuous_window_128
 from repro.config.processor import SchedulingModel, SpeculationPolicy
 from repro.core.backend import (
     BACKEND_ENV,
+    BACKENDS,
     DEFAULT_BACKEND,
     ELIDE_ENV,
     UnknownBackendError,
-    available_backends,
-    backend_capabilities,
     elision_enabled,
-    get_backend,
-    register_backend,
+    machine_for,
     resolve_backend,
-    vector_limitation,
-    _REGISTRY,
 )
 
 
@@ -39,24 +35,25 @@ def _config(**kwargs):
 
 
 def test_builtin_backends_registered():
-    assert "reference" in available_backends()
-    assert "vector" in available_backends()
+    assert BACKENDS == ("reference", "vector")
     assert DEFAULT_BACKEND == "reference"
 
 
 def test_unknown_backend_raises_with_choices():
     with pytest.raises(UnknownBackendError) as excinfo:
-        get_backend("typo")
+        resolve_backend("typo")
     assert "typo" in str(excinfo.value)
-    for name in available_backends():
+    for name in BACKENDS:
         assert name in str(excinfo.value)
 
 
 def test_resolve_rejects_unknown_names_everywhere(monkeypatch):
-    with pytest.raises(UnknownBackendError):
-        resolve_backend("typo")
-    with pytest.raises(UnknownBackendError):
-        resolve_backend(None, _config(backend="typo"))
+    monkeypatch.delenv(BACKEND_ENV, raising=False)
+    for name in ("typo", "eventsim"):
+        with pytest.raises(UnknownBackendError):
+            resolve_backend(name)
+        with pytest.raises(UnknownBackendError):
+            machine_for(_split_config(), name)
     monkeypatch.setenv(BACKEND_ENV, "typo")
     with pytest.raises(UnknownBackendError):
         resolve_backend()
@@ -65,18 +62,11 @@ def test_resolve_rejects_unknown_names_everywhere(monkeypatch):
 def test_resolution_precedence(monkeypatch):
     monkeypatch.delenv(BACKEND_ENV, raising=False)
     assert resolve_backend() == DEFAULT_BACKEND
-    assert resolve_backend(None, _config()) == DEFAULT_BACKEND
 
     monkeypatch.setenv(BACKEND_ENV, "vector")
     assert resolve_backend() == "vector"
-    # config.backend beats the environment ...
-    assert resolve_backend(None, _config(backend="reference")) == (
-        "reference"
-    )
-    # ... and an explicit argument beats both.
-    assert resolve_backend("reference", _config(backend="vector")) == (
-        "reference"
-    )
+    # An explicit argument beats the environment.
+    assert resolve_backend("reference") == "reference"
 
 
 def test_empty_env_var_falls_through(monkeypatch):
@@ -84,51 +74,41 @@ def test_empty_env_var_falls_through(monkeypatch):
     assert resolve_backend() == DEFAULT_BACKEND
 
 
-def test_registry_round_trip():
-    marker = object()
-
-    def factory(config, trace, dep_info=None, observer=None, **kwargs):
-        return marker
-
-    register_backend("test-backend", factory)
-    try:
-        assert "test-backend" in available_backends()
-        assert get_backend("test-backend") is factory
-        assert resolve_backend("test-backend") == "test-backend"
-    finally:
-        del _REGISTRY["test-backend"]
-    assert "test-backend" not in available_backends()
-
-
-def test_vector_limitation_cases():
+def _split_config():
     import dataclasses
 
     plain = _config()
-    assert vector_limitation(plain) is None
-    assert vector_limitation(plain, observer=object()) is not None
-    assert vector_limitation(plain, timeline=object()) is not None
-    assert vector_limitation(plain, telemetry=object()) is not None
-    assert vector_limitation(_config(observe=True)) is not None
-    split_on = dataclasses.replace(
+    return dataclasses.replace(
         plain, split=dataclasses.replace(plain.split, enabled=True)
     )
-    assert vector_limitation(split_on) is not None
 
 
-def test_backend_capabilities(monkeypatch):
-    ref = backend_capabilities("reference")
-    assert ref["objects"] and not ref["cycle_elision"]
+_MACHINE_CASES = {
+    # case: (config factory, backend, objects, machine)
+    "reference": (_config, "reference", False, "reference"),
+    "vector": (_config, "vector", False, "vector"),
+    "vector-objects": (_config, "vector", True, "reference"),
+    "vector-observe": (
+        lambda: _config(observe=True), "vector", False, "reference"
+    ),
+    "split-reference": (_split_config, "reference", False, "eventsim"),
+    "split-vector": (_split_config, "vector", False, "eventsim"),
+    "split-objects": (_split_config, "vector", True, "eventsim"),
+}
 
-    monkeypatch.delenv(ELIDE_ENV, raising=False)
-    vec = backend_capabilities("vector")
-    assert vec["compiled_columns"] and vec["cycle_elision"]
-    assert vec["elision_enabled"] and vec["elision_env"] == ELIDE_ENV
 
-    monkeypatch.setenv(ELIDE_ENV, "0")
-    assert not backend_capabilities("vector")["elision_enabled"]
+@pytest.mark.parametrize("case", sorted(_MACHINE_CASES))
+def test_machine_for(case):
+    make_config, backend, objects, machine = _MACHINE_CASES[case]
+    assert machine_for(make_config(), backend, objects=objects) == machine
 
-    with pytest.raises(UnknownBackendError):
-        backend_capabilities("warp-drive")
+
+def test_machine_for_follows_environment(monkeypatch):
+    monkeypatch.setenv(BACKEND_ENV, "vector")
+    assert machine_for(_config()) == "vector"
+    assert machine_for(_config(), "reference") == "reference"
+    monkeypatch.delenv(BACKEND_ENV)
+    assert machine_for(_config()) == "reference"
 
 
 @pytest.mark.parametrize(
@@ -150,12 +130,9 @@ def test_elision_env_parsing(monkeypatch, value, expected):
         with pytest.raises(ValueError, match=ELIDE_ENV):
             elision_enabled()
         with pytest.raises(ValueError, match=ELIDE_ENV):
-            backend_capabilities("vector")
-        with pytest.raises(ValueError, match=ELIDE_ENV):
             VectorProcessor(_config(), kernel_trace("memcopy", words=64))
     else:
         assert elision_enabled() is expected
-        assert backend_capabilities("vector")["elision_enabled"] is expected
 
 
 def test_elide_env_controls_vector_processor(monkeypatch):
@@ -170,20 +147,6 @@ def test_elide_env_controls_vector_processor(monkeypatch):
     # An explicit argument always wins over the environment.
     monkeypatch.setenv(ELIDE_ENV, "0")
     assert VectorProcessor(_config(), trace, elide=True)._elide
-
-
-def test_vector_factory_delegates_on_limitation():
-    from repro.core.processor import Processor
-    from repro.core.vector import VectorProcessor
-    from repro.workloads.catalog import kernel_trace
-
-    trace = kernel_trace("memcopy", words=64)
-    vector = get_backend("vector")
-    assert isinstance(vector(_config(), trace), VectorProcessor)
-    # Observability needs per-instruction objects -> reference core.
-    assert isinstance(
-        vector(_config(observe=True), trace), Processor
-    )
 
 
 def test_run_benchmark_records_producing_backend(monkeypatch):

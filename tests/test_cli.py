@@ -41,6 +41,19 @@ def test_cli_rejects_unknown_artifact():
         cli.main(["not-an-artifact"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["all", "--backend", "eventsim"],
+    ["check", "fuzz", "--backend", "eventsim"],
+])
+def test_cli_rejects_eventsim_backend(argv, capsys):
+    # Split configs pick their machine themselves; "eventsim" is not a
+    # backend a run can request.
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'eventsim'" in capsys.readouterr().err
+
+
 def test_cli_settings_flags(monkeypatch):
     captured = {}
 

@@ -15,7 +15,6 @@ import pytest
 
 from repro.config import SchedulingModel, SpeculationPolicy
 from repro.config.presets import split_window
-from repro.core.backend import backend_capabilities, eventsim_limitation
 from repro.eventsim import (
     EventSplitWindowProcessor,
     SyncFabric,
@@ -184,7 +183,7 @@ def test_legacy_engine_rejects_non_degenerate_fabric():
         SplitWindowProcessor(_split(link_latency=1), trace)
 
 
-@pytest.mark.parametrize("backend", ("reference", "vector", "eventsim"))
+@pytest.mark.parametrize("backend", ("reference", "vector"))
 def test_split_runs_on_eventsim_for_any_backend(backend):
     """Every split cell runs the machine, and it matches the oracle."""
     settings = ExperimentSettings(
@@ -203,15 +202,45 @@ def test_split_runs_on_eventsim_for_any_backend(backend):
     assert machine == oracle
 
 
-def test_backend_capabilities_and_limitation():
-    caps = backend_capabilities("eventsim")
-    assert caps["event_driven"] and caps["sync_fabric"]
-    from repro.config import continuous_window_128
-    continuous = continuous_window_128(
-        SchedulingModel.NAS, SpeculationPolicy.NO
+@pytest.mark.parametrize("backend", ("reference", "vector"))
+def test_simulate_runs_split_configs_on_the_split_machine(backend):
+    """``repro.core.simulate`` follows the same rule as the runner."""
+    import repro
+    from repro.core import simulate
+
+    config = split_window(
+        SchedulingModel.AS, SpeculationPolicy.NAIVE, num_units=4
     )
-    assert eventsim_limitation(continuous)       # delegates, with reason
-    assert eventsim_limitation(_split()) is None
+    trace = get_trace("126.gcc", 2_000, seed=0)
+    expected = asdict(repro.simulate_split(config, trace))
+    got = asdict(simulate(config, trace, backend=backend))
+    expected.pop("extra")
+    got.pop("extra")
+    assert got == expected
+
+
+def test_continuous_core_rejects_split_configs():
+    from repro.core import Processor
+
+    trace = get_trace("126.gcc", 2_000, seed=0)
+    with pytest.raises(ValueError, match="split-window machine"):
+        Processor(_split(), trace)
+
+
+def test_simulate_rejects_what_the_split_machine_cannot_honour():
+    from repro.core import simulate
+    from repro.observe import ObserverBus
+    from repro.trace.sampling import SamplingPlan, Segment
+
+    trace = get_trace("126.gcc", 2_000, seed=0)
+    warm = SamplingPlan(
+        (Segment(0, 500, timing=False), Segment(500, 2_000, timing=True)),
+        2_000,
+    )
+    with pytest.raises(ValueError, match="warm-up"):
+        simulate(_split(), trace, warm)
+    with pytest.raises(ValueError, match="observer"):
+        simulate(_split(), trace, observer=ObserverBus([]))
 
 
 def test_run_benchmark_routes_fabric_configs_to_eventsim():

@@ -50,6 +50,7 @@ class TestFromWire:
         ({"backend": "quantum"}, "backend"),
         ({"workers": 0}, "workers"),
         ({"surprise": 1}, "unknown"),
+        ({"backend": "eventsim"}, "backend"),
     ])
     def test_bad_documents_rejected(self, mutation, message):
         doc = dict(CELL)
